@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .baseline import FSlab, GSlab, ISlab, selection_gibbs, summarize_selection
 from .io import TableParseError, read_table, write_chain, write_summary
-from .model import BayesFuseError, Dataset, HyperParams, SingularDesign, standardize
+from .model import BayesFuseError, Dataset, HyperParams, standardize
 from .sampler import SamplerConfig, run_chain, summarize
 from .simbench import fused_estimate, make_case, run_study
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(message: str, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    print("error:", " ".join(message.split()), file=sys.stderr)
     return code
 
 
@@ -198,10 +198,7 @@ def cmd_fit(args) -> int:
         data = _prepare(y, X, args.no_standardize)
     except (ValueError, BayesFuseError) as exc:
         return _fail(str(exc))
-    try:
-        chain = run_chain(data, hyper, config)
-    except SingularDesign as exc:
-        return _fail(str(exc), code=3)
+    chain = run_chain(data, hyper, config)
     summary = summarize(chain, args.threshold)
     payload = {
         "command": "fit",
@@ -242,14 +239,11 @@ def cmd_smooth(args) -> int:
         config = _config(args)
         g = _resolve_g(args.g, n)
         hyper = HyperParams(g=g, a_omega=args.a_omega, b_omega=args.b_omega)
-    except ValueError as exc:
+        data = Dataset(y=y, X=np.eye(n), standardized=False)
+        data.validate()
+    except (ValueError, BayesFuseError) as exc:
         return _fail(str(exc))
-    data = Dataset(y=y, X=np.eye(n), standardized=False)
-    data.validate()
-    try:
-        chain = run_chain(data, hyper, config)
-    except SingularDesign as exc:
-        return _fail(str(exc), code=3)
+    chain = run_chain(data, hyper, config)
     summary = summarize(chain, args.threshold)
     fitted = fused_estimate(summary.beta_mean, summary.partition_est)
     lines = ["index,observed,fitted,boundary_prob"]
@@ -302,10 +296,7 @@ def cmd_select(args) -> int:
         data = _prepare(y, X, args.no_standardize)
     except (ValueError, BayesFuseError) as exc:
         return _fail(str(exc))
-    try:
-        chain = selection_gibbs(data, slab, hyper, config)
-    except SingularDesign as exc:
-        return _fail(str(exc), code=3)
+    chain = selection_gibbs(data, slab, hyper, config)
     summary = summarize_selection(chain)
     payload = {
         "command": "select",
@@ -340,7 +331,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except BayesFuseError as exc:
+        # Input is checked before sampling; what the samplers raise
+        # (singular design or posterior system, degenerate scale) exits 3.
+        return _fail(str(exc), code=3)
 
 
 if __name__ == "__main__":

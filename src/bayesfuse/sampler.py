@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.special import gammaln
 
 from .fusion_prior import FusedDesign, build_fused_design, merge_columns
@@ -138,15 +139,50 @@ def log_marginal_likelihood(
     )
 
 
-class FusionKernel:
-    """Cached marginal-likelihood evaluator for one dataset.
+#: A merged column whose residual norm, after projection on the other
+#: merged columns, is at most RANK_TOL times the sum of its member columns'
+#: norms makes the configuration inadmissible (evidence -inf). This is the
+#: Cholesky pivot of the full route and the square root of a split's Schur
+#: complement s. Where the design is exactly singular, rounding in the
+#: prefix tables leaves a residual of 1e-8 to 1e-7 of that sum at p = 4
+#: to 300; random designs with equicorrelation 0.5 keep more than 0.17.
+RANK_TOL = 1e-5
 
-    Exploits the g-prior structure: the posterior precision is the
-    merged gram matrix plus a rank-one correction, and the determinant
-    ratio in the evidence collapses to a closed form. Evaluations are
-    memoized per configuration; the sampler hot loop goes through this
-    object while :func:`log_marginal_likelihood` stays the plain
-    reference route (the two agree to ~1e-10 in log space).
+
+class FusionKernel:
+    """Marginal-likelihood evaluator for one dataset.
+
+    Under the g-prior the evidence of a configuration depends only on its
+    block count and on the fit r'G^{-1}r of the merged design, with G the
+    merged gram and r the merged X'y; the posterior precision is G plus a
+    rank-one correction. Two prefix tables, built once, give any block-pair
+    gram entry or block X'y in O(1): a (p+1)x(p+1) 2-D prefix sum of X'X
+    and a cumulative sum of X'y.
+
+    The sampler tells the kernel where its sweep is: :meth:`begin_sweep` at
+    a sweep's start and :meth:`accept_flip` after each accepted flip. The
+    kernel keeps an *anchor* for that configuration: its block edges, G^{-1},
+    beta = G^{-1} r and the fit r'beta. A configuration one flip away from
+    the anchor is then scored without a factorisation:
+
+    - merging blocks b and b+1 costs O(1): the fit drops by
+      (beta_b - beta_{b+1})^2 / (a'G^{-1}a) with a = e_b - e_{b+1};
+    - splitting block b adds one column w (the columns after the split),
+      O(k^2): with v = X_f'w, s = w'w - v'G^{-1}v the fit grows by
+      (w'y - v'beta)^2 / s, and sqrt(s) <= RANK_TOL times the sum of w's
+      column norms is inadmissible.
+
+    The anchor is refactored from scratch (O(k^2) gather from the prefix
+    table plus an O(k^3) Cholesky) at the first memo miss of a sweep, which
+    bounds drift and costs nothing on sweeps that only hit the memo. Accepted
+    flips are applied to it, O(k^2) each, only when a later miss needs them.
+    Configurations that are not one flip from the sweep's current one (a
+    fresh kernel's first call, :func:`delta_conditional_prob`, enumeration)
+    take the full route: gather plus Cholesky.
+
+    Values are memoised per configuration: chains revisit configurations
+    often (about 95% of calls at p = 20), and a dict hit is cheaper than
+    even the O(1) merge.
     """
 
     def __init__(self, data: Dataset, hyper: HyperParams):
@@ -165,6 +201,19 @@ class FusionKernel:
         self.g = float(hyper.g)
         self._const = gammaln(0.5 * self.n) - 0.5 * (self.n - 1) * LOG_2PI
         self._cache: dict[bytes, float] = {}
+        p = self.p
+        self._gram_prefix = np.zeros((p + 1, p + 1))
+        self._gram_prefix[1:, 1:] = self.gram.cumsum(axis=0).cumsum(axis=1)
+        self._xty_prefix = np.concatenate(([0.0], self.xty.cumsum()))
+        self._norm_prefix = np.concatenate(([0.0], np.sqrt(np.diagonal(self.gram)).cumsum()))
+        self._bounds = np.ones(p + 1, dtype=np.uint8)  # 1, delta, 1
+        self._current: np.ndarray | None = None
+        self._stale = True
+        self._pending: list[int] = []
+        # Anchor: block edges, G^{-1}, beta and fit, or None without one.
+        self._edges: np.ndarray | None = None
+        self._ginv = self._beta = None
+        self._fit = 0.0
 
     def _merged(self, delta: np.ndarray):
         boundaries = np.flatnonzero(delta) + 1
@@ -172,6 +221,18 @@ class FusionKernel:
         gram = np.add.reduceat(np.add.reduceat(self.gram, starts, axis=0), starts, axis=1)
         rhs = np.add.reduceat(self.xty, starts)
         return starts, gram, rhs
+
+    def begin_sweep(self, delta: np.ndarray) -> None:
+        """Mark ``delta`` as the current configuration at a sweep's start."""
+        self._current = delta.copy()
+        self._stale = True
+        self._pending.clear()
+
+    def accept_flip(self, delta: np.ndarray, j: int) -> None:
+        """Mark ``delta``, the previous configuration with bit j flipped, as current."""
+        self._current = delta.copy()
+        if not self._stale:
+            self._pending.append(j)
 
     def log_marginal(self, delta: np.ndarray) -> float:
         key = delta.tobytes()
@@ -182,25 +243,6 @@ class FusionKernel:
         value = self._evaluate(delta)
         self._cache[key] = value
         return value
-
-    def _evaluate(self, delta: np.ndarray) -> float:
-        g = self.g
-        p1 = int(delta.sum())
-        _, gram, rhs = self._merged(delta)
-        try:
-            factor = cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError:
-            return -np.inf
-        fit = float(rhs @ cho_solve(factor, rhs))
-        shrunk = (g / (g + 1.0)) * fit + self.total_xty**2 / (self.total_gram * (g + 1.0))
-        scale = 0.5 * (self.yty - shrunk)
-        if scale <= 0.0:
-            return -np.inf
-        return (
-            self._const
-            - 0.5 * (p1 * math.log(g + 1.0) + math.log(self.total_gram))
-            - 0.5 * self.n * math.log(scale)
-        )
 
     def posterior(self, delta: np.ndarray):
         """(blocks, precision_chol, mean, scale) for drawing sigma2/beta."""
@@ -220,6 +262,162 @@ class FusionKernel:
         blocks = tuple(zip(starts.tolist(), stops.tolist()))
         return blocks, L, mean, scale
 
+    def _evaluate(self, delta: np.ndarray) -> float:
+        j = self._flip_from_anchor(delta)
+        if j is None:
+            return self._evaluate_full(delta)
+        b, merge = self._locate(j)
+        k = self._edges.shape[0] - 1
+        if merge:
+            C, beta = self._ginv, self._beta
+            d = C[b, b] + C[b + 1, b + 1] - 2.0 * C[b, b + 1]
+            diff = beta[b] - beta[b + 1]
+            return self._evidence(k - 2, self._fit - diff * diff / d)
+        split = self._split(b, j)
+        if split is None:
+            return -np.inf
+        _, s, q = split
+        return self._evidence(k, self._fit + q * q / s)
+
+    def _evidence(self, p1: int, fit: float) -> float:
+        g = self.g
+        shrunk = (g / (g + 1.0)) * fit + self.total_xty**2 / (self.total_gram * (g + 1.0))
+        scale = 0.5 * (self.yty - shrunk)
+        if scale <= 0.0:
+            return -np.inf
+        return (
+            self._const
+            - 0.5 * (p1 * math.log(g + 1.0) + math.log(self.total_gram))
+            - 0.5 * self.n * math.log(scale)
+        )
+
+    def _evaluate_full(self, delta: np.ndarray) -> float:
+        factor = self._factor(self._edges_of(delta))
+        if factor is None:
+            return -np.inf
+        L, rhs = factor
+        x, _ = dpotrs(L, rhs, lower=1)
+        return self._evidence(int(delta.sum()), float(rhs @ x))
+
+    def _edges_of(self, delta: np.ndarray) -> np.ndarray:
+        """Block edges 0 = e_0 < e_1 < ... < e_k = p of a configuration."""
+        self._bounds[1:-1] = delta
+        return np.flatnonzero(self._bounds)
+
+    def _factor(self, edges: np.ndarray):
+        """(lower Cholesky factor of G, r) read from the prefix tables, or
+        None when the configuration is inadmissible."""
+        rows = self._gram_prefix.take(edges, axis=0)
+        rows = rows[1:] - rows[:-1]
+        Q = rows.take(edges, axis=1)
+        L, info = dpotrf(Q[:, 1:] - Q[:, :-1], lower=1)
+        if info != 0:
+            return None
+        norms = self._norm_prefix.take(edges)
+        if (L.diagonal() <= RANK_TOL * (norms[1:] - norms[:-1])).any():
+            return None
+        rhs = self._xty_prefix.take(edges)
+        return L, rhs[1:] - rhs[:-1]
+
+    def _flip_from_anchor(self, delta: np.ndarray) -> int | None:
+        """The one bit in which ``delta`` differs from the current
+        configuration, with the anchor brought up to date; None when the
+        full route must be taken."""
+        if self._current is None:
+            return None
+        diff = np.flatnonzero(delta != self._current)
+        if diff.shape[0] != 1:
+            return None
+        if self._stale:
+            self._refactor(self._current)
+            self._stale = False
+        elif self._edges is not None:
+            for j in self._pending:
+                self._move(j)
+                if self._edges is None:
+                    break
+        self._pending.clear()
+        if self._edges is None:
+            return None
+        return int(diff[0])
+
+    def _refactor(self, delta: np.ndarray) -> None:
+        edges = self._edges_of(delta)
+        factor = self._factor(edges)
+        if factor is None:
+            self._edges = None
+            return
+        L, rhs = factor
+        Linv, _ = dtrtri(L, lower=1)
+        self._edges = edges
+        self._ginv = Linv.T @ Linv
+        self._beta = self._ginv @ rhs
+        self._fit = float(rhs @ self._beta)
+
+    def _locate(self, j: int) -> tuple[int, bool]:
+        """(b, True) when bit j separates blocks b and b+1 of the anchor,
+        (b, False) when index j lies inside block b with j+1 in it too."""
+        edges = self._edges
+        i = int(edges.searchsorted(j + 1))
+        return i - 1, bool(edges[i] == j + 1)
+
+    def _split(self, b: int, j: int):
+        """(G^{-1}v, s, w'y - v'beta) for splitting block b after index j,
+        with w the sum of columns j+1 .. end of block and v = X_f'w; None
+        when the split is inadmissible."""
+        e, s0 = int(self._edges[b + 1]), j + 1
+        P = self._gram_prefix
+        x = (P[e] - P[s0]).take(self._edges)
+        v = x[1:] - x[:-1]
+        c = (P[e, e] - P[s0, e]) - (P[e, s0] - P[s0, s0])
+        u = self._ginv @ v
+        s = c - float(v @ u)
+        if s <= (RANK_TOL * (self._norm_prefix[e] - self._norm_prefix[s0])) ** 2:
+            return None
+        t = self._xty_prefix[e] - self._xty_prefix[s0]
+        return u, s, t - float(v @ self._beta)
+
+    def _move(self, j: int) -> None:
+        """Apply the flip of bit j to the anchor in O(k^2)."""
+        b, merge = self._locate(j)
+        C, beta, edges = self._ginv, self._beta, self._edges
+        k = edges.shape[0] - 1
+        if merge:
+            # Constrained least squares with beta_b = beta_{b+1}; the rows
+            # b and b+1 of the updated inverse agree, so b+1 is dropped.
+            h = C[:, b] - C[:, b + 1]
+            d = h[b] - h[b + 1]
+            diff = beta[b] - beta[b + 1]
+            keep = np.arange(k - 1)
+            keep[b + 1:] += 1
+            hk = h.take(keep)
+            ginv = C.take(keep, axis=0).take(keep, axis=1)
+            ginv -= np.outer(hk, hk / d)
+            self._beta = beta.take(keep) - hk * (diff / d)
+            self._fit -= diff * diff / d
+            self._edges = np.concatenate((edges[:b + 1], edges[b + 2:]))
+        else:
+            split = self._split(b, j)
+            if split is None:
+                self._edges = None
+                return
+            u, s, q = split
+            # Bordered inverse for [X_f, w], then the change of basis
+            # x_b -> x_b - w, w -> the new block b+1 whose coefficient is
+            # beta_b + gamma: index b is duplicated and w folded into b+1.
+            gamma = q / s
+            dup = np.arange(k + 1)
+            dup[b + 1:] -= 1
+            ginv = (C + np.outer(u, u / s)).take(dup, axis=0).take(dup, axis=1)
+            border = (u / -s).take(dup)
+            ginv[:, b + 1] += border
+            ginv[b + 1, :] += border
+            ginv[b + 1, b + 1] += 1.0 / s
+            self._beta = (beta - u * gamma).take(dup)
+            self._beta[b + 1] += gamma
+            self._fit += q * q / s
+            self._edges = np.concatenate((edges[:b + 1], [j + 1], edges[b + 1:]))
+        self._ginv = ginv
 
 # ---------------------------------------------------------------------------
 # Conditional draws
@@ -309,6 +507,7 @@ def _sweep(
     """
     m = delta.shape[0]
     order = rng.permutation(m)
+    kernel.begin_sweep(delta)
     cur = kernel.log_marginal(delta)
     for j in order:
         flipped = delta.copy()
@@ -323,6 +522,7 @@ def _sweep(
         if new_bit != delta[j]:
             delta = flipped
             cur = other
+            kernel.accept_flip(delta, j)
     blocks, L, mean, scale = kernel.posterior(delta)
     sigma2 = sample_sigma2(rng, kernel.n, scale)
     omega = sample_omega(rng, int(delta.sum()), kernel.p, hyper)
@@ -352,12 +552,18 @@ def gibbs_sweep(
 
 
 def initial_state(data: Dataset, hyper: HyperParams, kernel: FusionKernel | None = None) -> GibbsState:
-    """Deterministic start: no fusion, prior-mean omega, posterior-mean beta."""
+    """Deterministic start: no fusion, prior-mean omega, posterior-mean beta.
+
+    When the unfused design is singular the chain starts fully fused
+    instead; the sweep's anchor needs an admissible start.
+    """
     if kernel is None:
         kernel = FusionKernel(data, hyper)
     delta = np.ones(data.p - 1, dtype=np.uint8)
     if kernel.log_marginal(delta) == -np.inf:
-        raise SingularDesign("design matrix is singular at the no-fusion start")
+        delta = np.zeros(data.p - 1, dtype=np.uint8)
+        if kernel.log_marginal(delta) == -np.inf:
+            raise SingularDesign("design matrix is singular at the no-fusion and fully fused starts")
     blocks, _, mean, _ = kernel.posterior(delta)
     beta = np.repeat(mean, block_sizes(blocks))
     return GibbsState(

@@ -99,6 +99,29 @@ class TestFit:
         f.write_text("a,y\n1,2\n2,3\n3,4\n")
         assert main(["fit", str(f), "--response", "y"] + FAST) == 2
 
+    def test_sampler_error_exits_3(self, tmp_path, capsys):
+        # g = 1e-300 makes the posterior precision numerically singular
+        f = tmp_path / "d.csv"
+        write_regression_csv(f)
+        assert main(["fit", str(f), "--response", "y", "--g", "1e-300"] + FAST) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: posterior precision not PD")
+
+    def test_identical_adjacent_predictors(self, tmp_path, capsys):
+        # The unfused design is singular; the chain starts fully fused and
+        # never separates the twins.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(30)
+        y = 2.0 * x + 0.3 * rng.standard_normal(30)
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,y\n" + "\n".join(f"{u},{u},{v}" for u, v in zip(x, y)) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(f), "--response", "y", "--out", str(out)] + FAST) == 0
+        s = read_summary(out)
+        assert s["delta_prob"] == [0.0]
+        assert s["partition"] == [[1, 2]]
+        assert capsys.readouterr().err == ""
+
     def test_wide_data_warns(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 4))
@@ -142,6 +165,12 @@ class TestSmooth:
         f = tmp_path / "sig.csv"
         f.write_text("y\n1.0\n")
         assert main(["smooth", str(f)] + FAST) == 2
+
+    def test_rejects_non_finite(self, tmp_path, capsys):
+        f = tmp_path / "sig.csv"
+        f.write_text("y\n1.0\nnan\n2.0\n")
+        assert main(["smooth", str(f)] + FAST) == 2
+        assert capsys.readouterr().err == "error: non-finite entries in data\n"
 
     def test_rejects_non_numeric(self, tmp_path):
         f = tmp_path / "sig.csv"

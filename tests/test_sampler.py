@@ -20,7 +20,7 @@ from bayesfuse import (
     sample_sigma2,
     summarize,
 )
-from bayesfuse.model import DegenerateScale, EmptyChain, InadmissibleState
+from bayesfuse.model import DegenerateScale, EmptyChain, InadmissibleState, SingularDesign
 from bayesfuse.sampler import _bernoulli_prob_one, initial_state
 
 import oracles
@@ -245,6 +245,21 @@ class TestChain:
         assert nxt.beta.shape == (5,)
         assert 0.0 < nxt.omega < 1.0
         assert nxt.sigma2 > 0.0
+
+    def test_initial_state_falls_back_to_fully_fused(self, toy_data):
+        X = toy_data.X.copy()
+        X[:, 2] = X[:, 1]  # the unfused design is singular
+        data = Dataset(y=toy_data.y, X=X)
+        state = initial_state(data, HyperParams(g=40.0))
+        assert np.array_equal(state.delta, np.zeros(4, dtype=np.uint8))
+        assert np.ptp(state.beta) == 0.0
+
+    def test_initial_state_without_admissible_start(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(12)
+        data = Dataset(y=rng.standard_normal(12), X=np.column_stack([x, -x]))
+        with pytest.raises(SingularDesign):
+            initial_state(data, HyperParams(g=12.0))
 
     def test_summarize(self, toy_data):
         config = SamplerConfig(total_iterations=80, burn_in=20, seed=6)
