@@ -23,8 +23,8 @@ def main(argv=None) -> int:
     parser.add_argument("--burnin", type=int, default=1_000)
     args = parser.parse_args(argv)
 
-    segments = args.n // 4
-    level = np.repeat([0.0, 2.0, 0.0, 2.0], segments)[: args.n]
+    # Four segments of (nearly) equal length n/4.
+    level = np.array([0.0, 2.0, 0.0, 2.0])[np.arange(args.n) * 4 // args.n]
     rng = np.random.default_rng(args.seed)
     y = level + args.noise * rng.standard_normal(args.n)
 

@@ -12,6 +12,7 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.special import gammaln
 
 from .model import (
@@ -20,9 +21,17 @@ from .model import (
     EmptyChain,
     HyperParams,
     SingularDesign,
-    SingularSystem,
 )
-from .sampler import LOG_2PI, SamplerConfig, _bernoulli_prob_one, sample_sigma2
+from .sampler import (
+    LOG_2PI,
+    RANK_TOL,
+    AnchoredKernel,
+    SamplerConfig,
+    border_terms,
+    constrained_update,
+    flip_loop,
+    sample_sigma2,
+)
 
 
 @dataclass(frozen=True)
@@ -74,13 +83,44 @@ class SelectionFactors:
     precision_chol: np.ndarray
     mean: np.ndarray
     scale: float
-    log_det_post_cov: float
-    log_det_prior_cov: float
     active: np.ndarray
 
 
-class SelectionKernel:
-    """Cached evidence evaluator for the selection model."""
+class SelectionKernel(AnchoredKernel):
+    """Evidence evaluator for the selection model, on the fusion kernel's core.
+
+    With A the active set, every slab's evidence depends on the configuration
+    only through p0 = |A| and the fit r_A'M^{-1}r_A of M = G_A + lambda*I
+    (lambda = 1/c for ``ISlab``, 0 otherwise), plus log|M| for ``ISlab``:
+
+        const - p0/2 * pi - [ISlab] log|M| / 2 - n/2 * log((y'y - kappa*fit) / 2)
+
+    with (pi, kappa) = (log c, 1) for ``ISlab``, (log(g+1), g/(g+1)) for
+    ``GSlab`` and (log((1+b)/b), 1) for ``FSlab``; the log|G_A| terms of the
+    g and fractional slabs cancel.
+
+    :class:`~bayesfuse.sampler.AnchoredKernel` supplies the memo, the sweep
+    position and the lazy anchor. The anchor holds the current active set,
+    C = M^{-1}, beta = C r_A, the fit r_A'beta and log|M| (weighted 0 in the
+    evidence of the g and fractional slabs). A configuration one flip away
+    is scored without a factorisation:
+
+    - dropping the predictor at position i costs O(1): the fit drops by
+      beta_i^2 / C_ii and log|M| grows by log C_ii (the fusion merge's
+      constrained step with a = e_i);
+    - adding predictor j costs O(k^2): with v = M[A, j], u = Cv and the Schur
+      complement s = M_jj - v'u, the fit grows by (x_j'y - v'beta)^2 / s and
+      log|M| by log s (the fusion split's bordered column).
+
+    For ``GSlab`` and ``FSlab`` a column whose residual norm after
+    projection on the active ones is at most ``RANK_TOL`` times its own norm
+    makes the configuration inadmissible (-inf): sqrt(s) on an add, the
+    Cholesky pivot on the full route. Refactoring (once per sweep, at its
+    first memo miss) and the full route cost an O(k^2) gather plus an O(k^3)
+    Cholesky; an accepted flip moves the anchor in O(k^2).
+
+    :meth:`factors` gives the posterior pieces the sweep draws beta from.
+    """
 
     def __init__(self, data: Dataset, slab: Slab):
         data.validate()
@@ -91,7 +131,23 @@ class SelectionKernel:
         self.xty = data.X.T @ data.y
         self.yty = float(data.y @ data.y)
         self._const = gammaln(0.5 * self.n) - 0.5 * self.n * LOG_2PI
-        self._cache: dict[bytes, float] = {}
+        super().__init__(self.p)
+        if isinstance(slab, ISlab):
+            self._ridge, self._penalty, self._kappa = 1.0 / slab.scale, math.log(slab.scale), 1.0
+            self._det_weight = 1.0
+            self._tol = np.zeros(self.p)
+        else:
+            if isinstance(slab, GSlab):
+                g = slab.scale
+                self._penalty, self._kappa = math.log(g + 1.0), g / (g + 1.0)
+            else:
+                b = slab.fraction
+                self._penalty, self._kappa = math.log((1.0 + b) / b), 1.0
+            self._ridge = self._det_weight = 0.0
+            self._tol = RANK_TOL * np.sqrt(np.diagonal(self.gram))
+        # Anchor: active set, M^{-1}, beta, fit and log|M|.
+        self._active = self._ginv = self._beta = None
+        self._fit = self._logdet = 0.0
 
     def factors(self, xi: np.ndarray) -> SelectionFactors:
         active = np.flatnonzero(xi)
@@ -101,8 +157,6 @@ class SelectionKernel:
                 precision_chol=np.zeros((0, 0)),
                 mean=np.zeros(0),
                 scale=0.5 * self.yty,
-                log_det_post_cov=0.0,
-                log_det_prior_cov=0.0,
                 active=active,
             )
         gram = self.gram[np.ix_(active, active)]
@@ -112,63 +166,144 @@ class SelectionKernel:
             precision = gram + np.eye(p0) / slab.scale
             full_rhs = rhs
             prior_quad = 0.0
-            log_det_prior_cov = p0 * math.log(slab.scale)
+        elif isinstance(slab, GSlab):
+            precision = gram * (1.0 + 1.0 / slab.scale)
+            full_rhs = rhs
+            prior_quad = 0.0
         else:
             try:
                 gram_factor = cho_factor(gram, lower=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularDesign("active design is rank deficient") from exc
-            log_det_gram = 2.0 * np.log(np.diag(gram_factor[0])).sum()
-            if isinstance(slab, GSlab):
-                precision = gram * (1.0 + 1.0 / slab.scale)
-                full_rhs = rhs
-                prior_quad = 0.0
-                log_det_prior_cov = p0 * math.log(slab.scale) - log_det_gram
-            else:
-                b = slab.fraction
-                # Prior mean is the least-squares fit; its precision-weighted
-                # contribution is b * X'y, so the combined rhs is (1+b) X'y.
-                precision = gram * (1.0 + b)
-                full_rhs = (1.0 + b) * rhs
-                ls = cho_solve(gram_factor, rhs)
-                prior_quad = b * float(rhs @ ls)
-                log_det_prior_cov = -p0 * math.log(b) - log_det_gram
+            b = slab.fraction
+            # Prior mean is the least-squares fit; its precision-weighted
+            # contribution is b * X'y, so the combined rhs is (1+b) X'y.
+            precision = gram * (1.0 + b)
+            full_rhs = (1.0 + b) * rhs
+            ls = cho_solve(gram_factor, rhs)
+            prior_quad = b * float(rhs @ ls)
         try:
             L, _ = cho_factor(precision, lower=True)
         except np.linalg.LinAlgError as exc:
             raise SingularDesign("posterior precision not PD") from exc
         mean = cho_solve((L, True), full_rhs)
         scale = 0.5 * (self.yty + prior_quad - float(full_rhs @ mean))
-        return SelectionFactors(
-            precision_chol=L,
-            mean=mean,
-            scale=scale,
-            log_det_post_cov=-2.0 * np.log(np.diag(L)).sum(),
-            log_det_prior_cov=log_det_prior_cov,
-            active=active,
+        return SelectionFactors(precision_chol=L, mean=mean, scale=scale, active=active)
+
+    def _evidence(self, p0: int, fit: float, logdet: float) -> float:
+        scale = 0.5 * (self.yty - self._kappa * fit)
+        if scale <= 0.0:
+            return -np.inf
+        return (
+            self._const
+            - 0.5 * (p0 * self._penalty + self._det_weight * logdet)
+            - 0.5 * self.n * math.log(scale)
         )
 
-    def log_marginal(self, xi: np.ndarray) -> float:
-        key = xi.tobytes()
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        try:
-            f = self.factors(xi)
-        except (SingularDesign, SingularSystem):
-            self._cache[key] = -np.inf
+    def _factor(self, active: np.ndarray):
+        """(lower Cholesky factor of M, r_A) for a non-empty active set, or
+        None when the configuration is inadmissible."""
+        M = self.gram.take(active, axis=0).take(active, axis=1)
+        M.flat[:: active.shape[0] + 1] += self._ridge
+        L, info = dpotrf(M, lower=1)
+        if info != 0 or (L.diagonal() <= self._tol.take(active)).any():
+            return None
+        return L, self.xty.take(active)
+
+    @staticmethod
+    def _logdet_of(L: np.ndarray) -> float:
+        return 2.0 * float(np.log(L.diagonal()).sum())
+
+    def _evaluate_full(self, xi: np.ndarray) -> float:
+        active = np.flatnonzero(xi)
+        if active.shape[0] == 0:
+            return self._evidence(0, 0.0, 0.0)
+        factor = self._factor(active)
+        if factor is None:
             return -np.inf
-        if f.scale <= 0.0:
-            value = -np.inf
+        L, rhs = factor
+        x, _ = dpotrs(L, rhs, lower=1)
+        return self._evidence(active.shape[0], float(rhs @ x), self._logdet_of(L))
+
+    def _refactor(self, xi: np.ndarray) -> bool:
+        active = np.flatnonzero(xi)
+        if active.shape[0] == 0:
+            self._ginv, self._beta = np.zeros((0, 0)), np.zeros(0)
+            self._fit = self._logdet = 0.0
         else:
-            value = (
-                self._const
-                + 0.5 * (f.log_det_post_cov - f.log_det_prior_cov)
-                - 0.5 * self.n * math.log(f.scale)
-            )
-        self._cache[key] = value
-        return value
+            factor = self._factor(active)
+            if factor is None:
+                return False
+            L, rhs = factor
+            Linv, _ = dtrtri(L, lower=1)
+            self._ginv = Linv.T @ Linv
+            self._beta = self._ginv @ rhs
+            self._fit = float(rhs @ self._beta)
+            self._logdet = self._logdet_of(L)
+        self._active = active
+        return True
+
+    def _locate(self, j: int) -> tuple[int, bool]:
+        """(i, True) when predictor j is active at position i of the anchor,
+        (i, False) when it is inactive and would be inserted at position i."""
+        active = self._active
+        i = int(active.searchsorted(j))
+        return i, i < active.shape[0] and active[i] == j
+
+    def _add(self, j: int):
+        """(C v, s, x_j'y - v'beta) for adding predictor j, or None when the
+        add is inadmissible."""
+        v = self.gram[j].take(self._active)
+        u, s, q = border_terms(self._ginv, self._beta, v, self.gram[j, j] + self._ridge, self.xty[j])
+        if s <= self._tol[j] ** 2:
+            return None
+        return u, s, q
+
+    def _neighbour(self, j: int) -> float:
+        i, drop = self._locate(j)
+        p0 = self._active.shape[0]
+        if drop:
+            d = self._ginv[i, i]
+            b = self._beta[i]
+            return self._evidence(p0 - 1, self._fit - b * b / d, self._logdet + math.log(d))
+        add = self._add(j)
+        if add is None:
+            return -np.inf
+        _, s, q = add
+        return self._evidence(p0 + 1, self._fit + q * q / s, self._logdet + math.log(s))
+
+    def _move(self, j: int) -> bool:
+        """Apply the flip of predictor j to the anchor in O(k^2)."""
+        i, drop = self._locate(j)
+        C, beta, active = self._ginv, self._beta, self._active
+        if drop:
+            d = C[i, i]
+            self._ginv, self._beta, dfit = constrained_update(C, beta, C[:, i], d, beta[i], i)
+            self._fit -= dfit
+            self._logdet += math.log(d)
+            self._active = np.concatenate((active[:i], active[i + 1:]))
+            return True
+        add = self._add(j)
+        if add is None:
+            return False
+        u, s, q = add
+        # Bordered inverse with the new column last, then moved to its
+        # sorted position i.
+        k = active.shape[0]
+        gamma = q / s
+        border = u / -s
+        ext = np.empty((k + 1, k + 1))
+        ext[:k, :k] = C + np.outer(u, u / s)
+        ext[:k, k] = border
+        ext[k, :k] = border
+        ext[k, k] = 1.0 / s
+        order = np.concatenate((np.arange(i), [k], np.arange(i, k)))
+        self._ginv = ext.take(order, axis=0).take(order, axis=1)
+        self._beta = np.concatenate((beta - u * gamma, [gamma])).take(order)
+        self._fit += q * q / s
+        self._logdet += math.log(s)
+        self._active = np.concatenate((active[:i], [j], active[i:]))
+        return True
 
 
 def selection_posterior_factors(data: Dataset, xi: np.ndarray, slab: Slab) -> SelectionFactors:
@@ -188,22 +323,9 @@ def _selection_sweep(
     hyper: HyperParams,
     rng: np.random.Generator,
 ):
+    """One sweep: the shared flip loop, then sigma2, omega and beta."""
     p = xi.shape[0]
-    order = rng.permutation(p)
-    cur = kernel.log_marginal(xi)
-    for j in order:
-        flipped = xi.copy()
-        flipped[j] ^= 1
-        other = kernel.log_marginal(flipped)
-        if xi[j] == 1:
-            ml_one, ml_zero = cur, other
-        else:
-            ml_one, ml_zero = other, cur
-        prob_one = _bernoulli_prob_one(ml_one, ml_zero, omega)
-        new_bit = 1 if rng.random() < prob_one else 0
-        if new_bit != xi[j]:
-            xi = flipped
-            cur = other
+    xi = flip_loop(xi, omega, kernel, rng)
     factors = kernel.factors(xi)
     sigma2 = sample_sigma2(rng, kernel.n, factors.scale)
     p0 = int(xi.sum())

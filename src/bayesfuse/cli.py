@@ -22,7 +22,8 @@ from .simbench import fused_estimate, make_case, run_study
 DEFAULT_SEED = 20_230_815
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, threshold=False, chain=False, threads=False) -> None:
+    """Flags of every subcommand, plus the optional ones the subcommand reads."""
     parser.add_argument("--iters", type=int, default=10_000, help="total Gibbs iterations")
     parser.add_argument("--burnin", type=int, default=2_000, help="discarded initial draws")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -30,11 +31,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="g-prior scale; 'auto' resolves to the sample size n")
     parser.add_argument("--a-omega", type=float, default=1.0)
     parser.add_argument("--b-omega", type=float, default=1.0)
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="boundary probability cut for the declared partition")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--chain", default=None, help="optional chain file path")
-    parser.add_argument("--threads", type=int, default=1)
+    if threshold:
+        parser.add_argument("--threshold", type=float, default=0.5,
+                            help="boundary probability cut for the declared partition")
+    if chain:
+        parser.add_argument("--chain", default=None, help="optional chain file path")
+    if threads:
+        parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,17 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--rho", type=float, default=0.0)
     sim.add_argument("--replicates", type=int, default=100)
-    _add_common(sim)
+    _add_common(sim, threshold=True, threads=True)
 
     fit = sub.add_parser("fit", help="fit the fusion model to a CSV table")
     fit.add_argument("input")
     fit.add_argument("--response", required=True, help="name of the response column")
     fit.add_argument("--no-standardize", action="store_true")
-    _add_common(fit)
+    _add_common(fit, threshold=True, chain=True)
 
     smooth = sub.add_parser("smooth", help="smooth a single-column signal")
     smooth.add_argument("input")
-    _add_common(smooth)
+    _add_common(smooth, threshold=True, chain=True)
 
     sel = sub.add_parser("select", help="spike-and-slab variable selection baseline")
     sel.add_argument("input")
@@ -65,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--slab", default="gslab:auto",
                      help="slab kind: islab:C, gslab:G|auto, or fslab:B")
     sel.add_argument("--no-standardize", action="store_true")
-    _add_common(sel)
+    _add_common(sel, chain=True)
 
     return parser
 
@@ -95,7 +99,7 @@ def _config(args) -> SamplerConfig:
         total_iterations=args.iters,
         burn_in=args.burnin,
         seed=args.seed,
-        partition_threshold=args.threshold,
+        partition_threshold=getattr(args, "threshold", 0.5),
     )
 
 

@@ -146,10 +146,145 @@ def log_marginal_likelihood(
 #: complement s. Where the design is exactly singular, rounding in the
 #: prefix tables leaves a residual of 1e-8 to 1e-7 of that sum at p = 4
 #: to 300; random designs with equicorrelation 0.5 keep more than 0.17.
+#: The selection kernel applies the same cut to a single column.
 RANK_TOL = 1e-5
 
+#: Memory budget of an evidence memo, in MB. An entry is counted as its key
+#: (one byte per indicator) plus MEMO_ENTRY_BYTES for the key object, the
+#: float and the dict slot (measured 86-126 bytes on CPython 3.11); the memo
+#: is emptied when one more entry would pass the budget.
+MEMO_MB = 64
+MEMO_ENTRY_BYTES = 100
 
-class FusionKernel:
+
+def memo_capacity(key_bytes: int) -> int:
+    """Entries an evidence memo with keys of ``key_bytes`` bytes may hold."""
+    return max(1, int(MEMO_MB * 2**20) // (key_bytes + MEMO_ENTRY_BYTES))
+
+
+def constrained_update(C, beta, h, d, diff, drop):
+    """Impose a'beta = 0 on a least-squares anchor and drop one index.
+
+    ``C`` is the inverse gram, ``beta`` the fit's coefficients, h = C a,
+    d = a'h and diff = a'beta. Returns (C', beta', fit decrease) with index
+    ``drop`` removed, O(k^2): a fusion merge (a = e_b - e_{b+1}, whose rows
+    b and b+1 then agree) and a selection drop (a = e_i) are both this step.
+    """
+    keep = np.arange(beta.shape[0] - 1)
+    keep[drop:] += 1
+    hk = h.take(keep)
+    ginv = C.take(keep, axis=0).take(keep, axis=1)
+    ginv -= np.outer(hk, hk / d)
+    return ginv, beta.take(keep) - hk * (diff / d), diff * diff / d
+
+
+def border_terms(C, beta, v, c, t):
+    """(u, s, q) for bordering an anchor with one column w, O(k^2).
+
+    ``v`` holds the cross products of w with the anchor's columns, ``c`` is
+    w'w and ``t`` is w'y; u = C v, the Schur complement s = c - v'u and
+    q = t - v'beta. The fit grows by q^2 / s.
+    """
+    u = C @ v
+    return u, c - float(v @ u), t - float(v @ beta)
+
+
+class AnchoredKernel:
+    """Memoised evidence with a lazily factored anchor; shared by the fusion
+    and the selection kernel.
+
+    The flip loop tells the kernel where its sweep is: :meth:`begin_sweep`
+    at a sweep's start and :meth:`accept_flip` after each accepted flip. A
+    memo miss one flip away from that current configuration is scored from
+    an *anchor*, the current configuration's factorisation, by
+    :meth:`_neighbour`. The anchor is refactored from scratch
+    (:meth:`_refactor`) at the first miss of a sweep, which bounds drift and
+    costs nothing on sweeps that only hit the memo; accepted flips are
+    applied to it (:meth:`_move`) only when a later miss needs them. Any
+    other configuration, and any configuration while the current one is
+    inadmissible, takes :meth:`_evaluate_full`.
+
+    Values are memoised per configuration (chains revisit configurations
+    often: about 95% of calls at p = 20) within a budget of :data:`MEMO_MB`.
+    A subclass calls ``super().__init__(width)`` with the indicator count
+    and implements the four hooks; ``_refactor`` and ``_move`` return False
+    when the configuration they reach is inadmissible.
+    """
+
+    def __init__(self, width: int):
+        self._cache: dict[bytes, float] = {}
+        self._cache_cap = memo_capacity(width)
+        self._current: np.ndarray | None = None
+        self._stale = True
+        self._anchored = False
+        self._pending: list[int] = []
+
+    def begin_sweep(self, x: np.ndarray) -> None:
+        """Mark ``x`` as the current configuration at a sweep's start."""
+        self._current = x.copy()
+        self._stale = True
+        self._pending.clear()
+
+    def accept_flip(self, x: np.ndarray, j: int) -> None:
+        """Mark ``x``, the previous configuration with bit j flipped, as current."""
+        self._current = x.copy()
+        if not self._stale:
+            self._pending.append(j)
+
+    def log_marginal(self, x: np.ndarray) -> float:
+        key = x.tobytes()
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        value = self._evaluate(x)
+        if len(self._cache) >= self._cache_cap:
+            self._cache.clear()
+        self._cache[key] = value
+        return value
+
+    def _evaluate(self, x: np.ndarray) -> float:
+        j = self._flip_from_anchor(x)
+        if j is None:
+            return self._evaluate_full(x)
+        return self._neighbour(j)
+
+    def _flip_from_anchor(self, x: np.ndarray) -> int | None:
+        """The one bit in which ``x`` differs from the current configuration,
+        with the anchor brought up to date; None when the full route must be
+        taken."""
+        if self._current is None:
+            return None
+        diff = np.flatnonzero(x != self._current)
+        if diff.shape[0] != 1:
+            return None
+        if self._stale:
+            self._anchored = self._refactor(self._current)
+            self._stale = False
+        elif self._anchored:
+            for j in self._pending:
+                if not self._move(j):
+                    self._anchored = False
+                    break
+        self._pending.clear()
+        if not self._anchored:
+            return None
+        return int(diff[0])
+
+    def _evaluate_full(self, x: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def _refactor(self, x: np.ndarray) -> bool:
+        raise NotImplementedError
+
+    def _move(self, j: int) -> bool:
+        raise NotImplementedError
+
+    def _neighbour(self, j: int) -> float:
+        raise NotImplementedError
+
+
+class FusionKernel(AnchoredKernel):
     """Marginal-likelihood evaluator for one dataset.
 
     Under the g-prior the evidence of a configuration depends only on its
@@ -159,11 +294,9 @@ class FusionKernel:
     gram entry or block X'y in O(1): a (p+1)x(p+1) 2-D prefix sum of X'X
     and a cumulative sum of X'y.
 
-    The sampler tells the kernel where its sweep is: :meth:`begin_sweep` at
-    a sweep's start and :meth:`accept_flip` after each accepted flip. The
-    kernel keeps an *anchor* for that configuration: its block edges, G^{-1},
-    beta = G^{-1} r and the fit r'beta. A configuration one flip away from
-    the anchor is then scored without a factorisation:
+    The anchor (see :class:`AnchoredKernel`) holds the current
+    configuration's block edges, G^{-1}, beta = G^{-1} r and the fit r'beta.
+    A configuration one flip away is then scored without a factorisation:
 
     - merging blocks b and b+1 costs O(1): the fit drops by
       (beta_b - beta_{b+1})^2 / (a'G^{-1}a) with a = e_b - e_{b+1};
@@ -172,17 +305,11 @@ class FusionKernel:
       (w'y - v'beta)^2 / s, and sqrt(s) <= RANK_TOL times the sum of w's
       column norms is inadmissible.
 
-    The anchor is refactored from scratch (O(k^2) gather from the prefix
-    table plus an O(k^3) Cholesky) at the first memo miss of a sweep, which
-    bounds drift and costs nothing on sweeps that only hit the memo. Accepted
-    flips are applied to it, O(k^2) each, only when a later miss needs them.
-    Configurations that are not one flip from the sweep's current one (a
-    fresh kernel's first call, :func:`delta_conditional_prob`, enumeration)
-    take the full route: gather plus Cholesky.
-
-    Values are memoised per configuration: chains revisit configurations
-    often (about 95% of calls at p = 20), and a dict hit is cheaper than
-    even the O(1) merge.
+    Refactoring costs an O(k^2) gather from the prefix table plus an O(k^3)
+    Cholesky; an accepted flip moves the anchor in O(k^2). Configurations
+    that are not one flip from the sweep's current one (a fresh kernel's
+    first call, :func:`delta_conditional_prob`, enumeration) take the full
+    route: gather plus Cholesky.
     """
 
     def __init__(self, data: Dataset, hyper: HyperParams):
@@ -200,17 +327,14 @@ class FusionKernel:
         self.total_gram = float(self.gram.sum())
         self.g = float(hyper.g)
         self._const = gammaln(0.5 * self.n) - 0.5 * (self.n - 1) * LOG_2PI
-        self._cache: dict[bytes, float] = {}
         p = self.p
+        super().__init__(p - 1)
         self._gram_prefix = np.zeros((p + 1, p + 1))
         self._gram_prefix[1:, 1:] = self.gram.cumsum(axis=0).cumsum(axis=1)
         self._xty_prefix = np.concatenate(([0.0], self.xty.cumsum()))
         self._norm_prefix = np.concatenate(([0.0], np.sqrt(np.diagonal(self.gram)).cumsum()))
         self._bounds = np.ones(p + 1, dtype=np.uint8)  # 1, delta, 1
-        self._current: np.ndarray | None = None
-        self._stale = True
-        self._pending: list[int] = []
-        # Anchor: block edges, G^{-1}, beta and fit, or None without one.
+        # Anchor: block edges, G^{-1}, beta and fit.
         self._edges: np.ndarray | None = None
         self._ginv = self._beta = None
         self._fit = 0.0
@@ -221,28 +345,6 @@ class FusionKernel:
         gram = np.add.reduceat(np.add.reduceat(self.gram, starts, axis=0), starts, axis=1)
         rhs = np.add.reduceat(self.xty, starts)
         return starts, gram, rhs
-
-    def begin_sweep(self, delta: np.ndarray) -> None:
-        """Mark ``delta`` as the current configuration at a sweep's start."""
-        self._current = delta.copy()
-        self._stale = True
-        self._pending.clear()
-
-    def accept_flip(self, delta: np.ndarray, j: int) -> None:
-        """Mark ``delta``, the previous configuration with bit j flipped, as current."""
-        self._current = delta.copy()
-        if not self._stale:
-            self._pending.append(j)
-
-    def log_marginal(self, delta: np.ndarray) -> float:
-        key = delta.tobytes()
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        value = self._evaluate(delta)
-        self._cache[key] = value
-        return value
 
     def posterior(self, delta: np.ndarray):
         """(blocks, precision_chol, mean, scale) for drawing sigma2/beta."""
@@ -262,10 +364,7 @@ class FusionKernel:
         blocks = tuple(zip(starts.tolist(), stops.tolist()))
         return blocks, L, mean, scale
 
-    def _evaluate(self, delta: np.ndarray) -> float:
-        j = self._flip_from_anchor(delta)
-        if j is None:
-            return self._evaluate_full(delta)
+    def _neighbour(self, j: int) -> float:
         b, merge = self._locate(j)
         k = self._edges.shape[0] - 1
         if merge:
@@ -319,40 +418,18 @@ class FusionKernel:
         rhs = self._xty_prefix.take(edges)
         return L, rhs[1:] - rhs[:-1]
 
-    def _flip_from_anchor(self, delta: np.ndarray) -> int | None:
-        """The one bit in which ``delta`` differs from the current
-        configuration, with the anchor brought up to date; None when the
-        full route must be taken."""
-        if self._current is None:
-            return None
-        diff = np.flatnonzero(delta != self._current)
-        if diff.shape[0] != 1:
-            return None
-        if self._stale:
-            self._refactor(self._current)
-            self._stale = False
-        elif self._edges is not None:
-            for j in self._pending:
-                self._move(j)
-                if self._edges is None:
-                    break
-        self._pending.clear()
-        if self._edges is None:
-            return None
-        return int(diff[0])
-
-    def _refactor(self, delta: np.ndarray) -> None:
+    def _refactor(self, delta: np.ndarray) -> bool:
         edges = self._edges_of(delta)
         factor = self._factor(edges)
         if factor is None:
-            self._edges = None
-            return
+            return False
         L, rhs = factor
         Linv, _ = dtrtri(L, lower=1)
         self._edges = edges
         self._ginv = Linv.T @ Linv
         self._beta = self._ginv @ rhs
         self._fit = float(rhs @ self._beta)
+        return True
 
     def _locate(self, j: int) -> tuple[int, bool]:
         """(b, True) when bit j separates blocks b and b+1 of the anchor,
@@ -368,16 +445,14 @@ class FusionKernel:
         e, s0 = int(self._edges[b + 1]), j + 1
         P = self._gram_prefix
         x = (P[e] - P[s0]).take(self._edges)
-        v = x[1:] - x[:-1]
         c = (P[e, e] - P[s0, e]) - (P[e, s0] - P[s0, s0])
-        u = self._ginv @ v
-        s = c - float(v @ u)
+        t = self._xty_prefix[e] - self._xty_prefix[s0]
+        u, s, q = border_terms(self._ginv, self._beta, x[1:] - x[:-1], c, t)
         if s <= (RANK_TOL * (self._norm_prefix[e] - self._norm_prefix[s0])) ** 2:
             return None
-        t = self._xty_prefix[e] - self._xty_prefix[s0]
-        return u, s, t - float(v @ self._beta)
+        return u, s, q
 
-    def _move(self, j: int) -> None:
+    def _move(self, j: int) -> bool:
         """Apply the flip of bit j to the anchor in O(k^2)."""
         b, merge = self._locate(j)
         C, beta, edges = self._ginv, self._beta, self._edges
@@ -386,21 +461,15 @@ class FusionKernel:
             # Constrained least squares with beta_b = beta_{b+1}; the rows
             # b and b+1 of the updated inverse agree, so b+1 is dropped.
             h = C[:, b] - C[:, b + 1]
-            d = h[b] - h[b + 1]
-            diff = beta[b] - beta[b + 1]
-            keep = np.arange(k - 1)
-            keep[b + 1:] += 1
-            hk = h.take(keep)
-            ginv = C.take(keep, axis=0).take(keep, axis=1)
-            ginv -= np.outer(hk, hk / d)
-            self._beta = beta.take(keep) - hk * (diff / d)
-            self._fit -= diff * diff / d
+            ginv, self._beta, drop = constrained_update(
+                C, beta, h, h[b] - h[b + 1], beta[b] - beta[b + 1], b + 1
+            )
+            self._fit -= drop
             self._edges = np.concatenate((edges[:b + 1], edges[b + 2:]))
         else:
             split = self._split(b, j)
             if split is None:
-                self._edges = None
-                return
+                return False
             u, s, q = split
             # Bordered inverse for [X_f, w], then the change of basis
             # x_b -> x_b - w, w -> the new block b+1 whose coefficient is
@@ -418,6 +487,7 @@ class FusionKernel:
             self._fit += q * q / s
             self._edges = np.concatenate((edges[:b + 1], [j + 1], edges[b + 1:]))
         self._ginv = ginv
+        return True
 
 # ---------------------------------------------------------------------------
 # Conditional draws
@@ -493,6 +563,34 @@ def sample_beta(
     return np.repeat(draw, block_sizes(blocks))
 
 
+def flip_loop(x: np.ndarray, omega: float, kernel: AnchoredKernel, rng: np.random.Generator) -> np.ndarray:
+    """Single-site Gibbs pass over the bits of ``x`` in a random order.
+
+    Each bit is drawn from its Bernoulli full conditional, prior odds
+    omega / (1 - omega) times the evidence ratio of the two configurations
+    that differ in it. Stream order: the permutation, then one uniform per
+    bit. ``x`` is not modified; the returned array is the new configuration.
+    """
+    order = rng.permutation(x.shape[0])
+    kernel.begin_sweep(x)
+    cur = kernel.log_marginal(x)
+    for j in order:
+        flipped = x.copy()
+        flipped[j] ^= 1
+        other = kernel.log_marginal(flipped)
+        if x[j] == 1:
+            ml_one, ml_zero = cur, other
+        else:
+            ml_one, ml_zero = other, cur
+        prob_one = _bernoulli_prob_one(ml_one, ml_zero, omega)
+        new_bit = 1 if rng.random() < prob_one else 0
+        if new_bit != x[j]:
+            x = flipped
+            cur = other
+            kernel.accept_flip(x, j)
+    return x
+
+
 def _sweep(
     delta: np.ndarray,
     omega: float,
@@ -500,29 +598,12 @@ def _sweep(
     hyper: HyperParams,
     rng: np.random.Generator,
 ) -> GibbsState:
-    """One full Gibbs sweep; mutates and returns a fresh state.
+    """One full Gibbs sweep; returns a fresh state.
 
     Stream order: boundary permutation, per-boundary uniforms, sigma2,
     omega, beta.
     """
-    m = delta.shape[0]
-    order = rng.permutation(m)
-    kernel.begin_sweep(delta)
-    cur = kernel.log_marginal(delta)
-    for j in order:
-        flipped = delta.copy()
-        flipped[j] ^= 1
-        other = kernel.log_marginal(flipped)
-        if delta[j] == 1:
-            ml_one, ml_zero = cur, other
-        else:
-            ml_one, ml_zero = other, cur
-        prob_one = _bernoulli_prob_one(ml_one, ml_zero, omega)
-        new_bit = 1 if rng.random() < prob_one else 0
-        if new_bit != delta[j]:
-            delta = flipped
-            cur = other
-            kernel.accept_flip(delta, j)
+    delta = flip_loop(delta, omega, kernel, rng)
     blocks, L, mean, scale = kernel.posterior(delta)
     sigma2 = sample_sigma2(rng, kernel.n, scale)
     omega = sample_omega(rng, int(delta.sum()), kernel.p, hyper)

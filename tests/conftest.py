@@ -19,6 +19,17 @@ def random_instance(rng: np.random.Generator, n: int, p: int, scale: float = 1.0
     return y, X
 
 
+def sparse_instance(seed: int = 3, n: int = 60, p: int = 15) -> Dataset:
+    """Three true predictors among p, so the chain keeps adding and dropping."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    X -= X.mean(axis=0)
+    beta = np.zeros(p)
+    beta[[1, 4, p // 2 + 2]] = [1.5, -1.0, 0.7]
+    y = X @ beta + rng.standard_normal(n)
+    return Dataset(y=y - y.mean(), X=X)
+
+
 @pytest.fixture
 def toy_data():
     rng = np.random.default_rng(7)

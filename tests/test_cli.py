@@ -219,3 +219,33 @@ class TestDeterminism:
                          "--out", str(out), "--chain", str(chain)] + FAST) == 0
             outs.append((out.read_bytes(), chain.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestIgnoredFlagsRejected:
+    """Each optional flag is registered only on the subcommands that read it,
+    so passing it to another subcommand is a usage error (exit 2)."""
+
+    def expect_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_fit_rejects_threads(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        write_regression_csv(f)
+        self.expect_usage_error(
+            ["fit", str(f), "--response", "y", "--threads", "8"] + FAST, "--threads", capsys)
+
+    def test_select_rejects_threshold(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        write_regression_csv(f)
+        self.expect_usage_error(
+            ["select", str(f), "--response", "y", "--threshold", "0.9"] + FAST,
+            "--threshold", capsys)
+
+    def test_simulate_rejects_chain(self, tmp_path, capsys):
+        self.expect_usage_error(
+            ["simulate", "--case", "1", "--n", "50", "--chain", str(tmp_path / "c.csv")] + FAST,
+            "--chain", capsys)
+        assert not (tmp_path / "c.csv").exists()

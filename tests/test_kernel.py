@@ -218,3 +218,47 @@ def test_at_most_one_factorisation_per_sweep(monkeypatch):
     seen = recorded_chain(data, hyper, config, monkeypatch)
     assert len(seen) > 30 * 10
     assert len(calls) <= 1 + 30
+
+
+def test_memo_stays_within_its_budget(monkeypatch):
+    """A smoothing chain that meets more configurations than the memo may
+    hold never keeps more than that: the memo is emptied at the cap."""
+    from bayesfuse import sampler
+
+    monkeypatch.setattr(sampler, "MEMO_MB", 0.05)
+    data, hyper = smoothing_instance()
+    cap = sampler.memo_capacity(data.p - 1)
+    assert cap == int(0.05 * 2**20) // (119 + sampler.MEMO_ENTRY_BYTES)
+    sizes = []
+    original = FusionKernel.log_marginal
+
+    def record(kernel, delta):
+        value = original(kernel, delta)
+        sizes.append(len(kernel._cache))
+        return value
+
+    monkeypatch.setattr(FusionKernel, "log_marginal", record)
+    run_chain(data, hyper, SamplerConfig(total_iterations=200, burn_in=0, seed=5))
+    assert max(sizes) == cap  # the chain filled the memo, never past the cap
+    assert sizes.count(1) > 1  # and emptied it
+
+
+def test_capped_memo_leaves_draws_unchanged(monkeypatch):
+    """The memo only caches deterministic values: a memo of three entries
+    draws what an unbounded one draws, for both kernels."""
+    from bayesfuse import FSlab, selection_gibbs, sampler
+    from conftest import sparse_instance
+
+    data, hyper = smoothing_instance()
+    config = SamplerConfig(total_iterations=60, burn_in=0, seed=3)
+    sel_data, slab = sparse_instance(), FSlab(1.0 / 60.0)
+    sel_config = SamplerConfig(total_iterations=150, burn_in=0, seed=3)
+    free = run_chain(data, hyper, config)
+    free_sel = selection_gibbs(sel_data, slab, hyper, sel_config)
+    monkeypatch.setattr(sampler, "memo_capacity", lambda key_bytes: 3)
+    capped = run_chain(data, hyper, config)
+    capped_sel = selection_gibbs(sel_data, slab, hyper, sel_config)
+    for a, b in ((free, capped), (free_sel, capped_sel)):
+        assert np.array_equal(a.delta, b.delta)
+        assert np.array_equal(a.beta, b.beta)
+        assert np.array_equal(a.sigma2, b.sigma2)
