@@ -16,12 +16,7 @@ from .baseline import (
     selection_posterior_factors,
     summarize_selection,
 )
-from .fusion_prior import (
-    FusedDesign,
-    build_fused_design,
-    difference_covariance,
-    difference_matrix,
-)
+from .fusion_prior import difference_covariance, difference_matrix
 from .model import (
     BayesFuseError,
     Chain,
@@ -45,12 +40,10 @@ from .model import (
 )
 from .sampler import (
     FusionKernel,
-    PosteriorFactors,
     SamplerConfig,
     delta_conditional_prob,
     gibbs_sweep,
     log_marginal_likelihood,
-    posterior_factors,
     run_chain,
     sample_beta,
     sample_omega,

@@ -41,8 +41,8 @@ class ISlab:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("i-slab scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("i-slab scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class GSlab:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("g-slab scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("g-slab scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class FSlab:
     fraction: float
 
     def __post_init__(self):
-        if self.fraction <= 0:
-            raise ValueError("f-slab fraction must be positive")
+        if not (math.isfinite(self.fraction) and self.fraction > 0):
+            raise ValueError("f-slab fraction must be positive and finite")
 
 
 Slab = Union[ISlab, GSlab, FSlab]

@@ -95,12 +95,12 @@ def _resolve_g(spec: str | float, n: int) -> float:
 
 
 def _config(args) -> SamplerConfig:
-    return SamplerConfig(
-        total_iterations=args.iters,
-        burn_in=args.burnin,
-        seed=args.seed,
-        partition_threshold=getattr(args, "threshold", 0.5),
-    )
+    return SamplerConfig(total_iterations=args.iters, burn_in=args.burnin, seed=args.seed)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:  # NaN fails too
+        raise ValueError("--threshold must be in (0, 1)")
 
 
 def _write(args, payload: dict) -> None:
@@ -123,7 +123,10 @@ def cmd_simulate(args) -> int:
         return _fail("rho must be in [0, 1)")
     if args.replicates < 1:
         return _fail("replicates must be >= 1")
+    if args.threads < 1:
+        return _fail("threads must be >= 1")
     try:
+        _check_threshold(args.threshold)
         config = _config(args)
         g = _resolve_g(args.g, args.n)
         hyper = HyperParams(g=g, a_omega=args.a_omega, b_omega=args.b_omega)
@@ -196,6 +199,7 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
     try:
+        _check_threshold(args.threshold)
         config = _config(args)
         g = _resolve_g(args.g, X.shape[0])
         hyper = HyperParams(g=g, a_omega=args.a_omega, b_omega=args.b_omega)
@@ -240,6 +244,7 @@ def cmd_smooth(args) -> int:
     if n < 2:
         return _fail("need at least two observations")
     try:
+        _check_threshold(args.threshold)
         config = _config(args)
         g = _resolve_g(args.g, n)
         hyper = HyperParams(g=g, a_omega=args.a_omega, b_omega=args.b_omega)

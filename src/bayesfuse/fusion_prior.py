@@ -1,49 +1,14 @@
-"""Merged design and prior covariances for the fusion model.
+"""Difference operator and covariance of the fusion prior.
 
-Fusing adjacent coefficients collapses the design to one summed column
-per block. The g-prior on the block coefficients induces a normal prior
-on the retained adjacent differences whose covariance is the second
-difference of the g-prior covariance.
+The g-prior on the block coefficients induces a normal prior on the
+retained adjacent differences whose covariance is the second difference
+of the g-prior covariance, D Z D^T for the difference operator D. The
+sampler's evidence (:class:`bayesfuse.sampler.FusionKernel`) folds this
+prior into a closed form and never builds these pieces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-
-from .model import (
-    Dataset,
-    FusionIndicator,
-    HyperParams,
-    SingularDesign,
-    partition_from_delta,
-)
-
-
-@dataclass(frozen=True)
-class FusedDesign:
-    """Block-merged design together with the fusion prior pieces.
-
-    ``x_fused`` has one column per block (the sum of the original
-    columns in that block), ``diff_op`` is the first-difference operator
-    between block coefficients, ``coef_prior_cov`` the g-prior
-    covariance of the block coefficients and ``gap_prior_cov`` the
-    induced covariance of the retained differences. ``gap_prior_mean``
-    is identically zero but carried so the posterior algebra matches the
-    general conjugate formulas term by term.
-    """
-
-    x_fused: np.ndarray
-    diff_op: np.ndarray
-    coef_prior_cov: np.ndarray
-    gap_prior_cov: np.ndarray
-    gap_prior_mean: np.ndarray
-    blocks: tuple[tuple[int, int], ...]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.x_fused.shape[1]
 
 
 def difference_matrix(k: int) -> np.ndarray:
@@ -66,39 +31,3 @@ def difference_covariance(coef_cov: np.ndarray) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError("coef_cov must be square")
     return Z[1:, 1:] - Z[1:, :-1] - Z[:-1, 1:] + Z[:-1, :-1]
-
-
-def merge_columns(X: np.ndarray, blocks) -> np.ndarray:
-    """Sum design columns within each contiguous block."""
-    starts = [start for start, _ in blocks]
-    return np.add.reduceat(X, starts, axis=1)
-
-
-def build_fused_design(
-    data: Dataset, delta: FusionIndicator, hyper: HyperParams
-) -> FusedDesign:
-    """Construct the merged design and both prior covariances for delta.
-
-    Raises :class:`SingularDesign` when the merged gram matrix is not
-    positive definite (an inadmissible configuration).
-    """
-    if delta.p != data.p:
-        raise ValueError(f"delta has length {delta.p - 1}, expected {data.p - 1}")
-    blocks = partition_from_delta(delta)
-    Xf = merge_columns(data.X, blocks)
-    k = Xf.shape[1]
-    gram = Xf.T @ Xf
-    try:
-        factor = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign(f"merged gram matrix is singular for delta={delta.delta}") from exc
-    coef_prior_cov = hyper.g * cho_solve(factor, np.eye(k))
-    coef_prior_cov = 0.5 * (coef_prior_cov + coef_prior_cov.T)
-    return FusedDesign(
-        x_fused=Xf,
-        diff_op=difference_matrix(k),
-        coef_prior_cov=coef_prior_cov,
-        gap_prior_cov=difference_covariance(coef_prior_cov),
-        gap_prior_mean=np.zeros(k - 1),
-        blocks=blocks,
-    )

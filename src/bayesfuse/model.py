@@ -6,6 +6,7 @@ function; the MCMC machinery lives in :mod:`bayesfuse.sampler` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -77,8 +78,8 @@ class HyperParams:
     b_omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.g > 0 and self.a_omega > 0 and self.b_omega > 0):
-            raise ValueError("g, a_omega and b_omega must all be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.g, self.a_omega, self.b_omega)):
+            raise ValueError("g, a_omega and b_omega must all be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,13 @@ conjugate full conditionals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.special import gammaln
 
-from .fusion_prior import FusedDesign, build_fused_design, merge_columns
 from .model import (
     Chain,
     Dataset,
@@ -41,102 +40,12 @@ class SamplerConfig:
     total_iterations: int = 10_000
     burn_in: int = 2_000
     seed: int = 20_230_815
-    partition_threshold: float = 0.5
 
     def __post_init__(self):
         if self.total_iterations <= 0:
             raise ValueError("total_iterations must be positive")
         if not 0 <= self.burn_in < self.total_iterations:
             raise ValueError("need 0 <= burn_in < total_iterations")
-        if not 0.0 < self.partition_threshold < 1.0:
-            raise ValueError("partition_threshold must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class PosteriorFactors:
-    """Cholesky factor of the posterior precision plus derived scalars.
-
-    ``precision_chol`` is the lower factor L with L L^T equal to the
-    inverse posterior covariance of the block coefficients; ``mean`` is
-    the posterior mean, ``scale`` the inverse-gamma scale of the error
-    variance.
-    """
-
-    precision_chol: np.ndarray
-    mean: np.ndarray
-    scale: float
-    log_det_post_cov: float
-    log_det_prior_cov: float
-    blocks: tuple[tuple[int, int], ...]
-
-
-def posterior_factors(data: Dataset, fd: FusedDesign) -> PosteriorFactors:
-    """Conjugate posterior pieces for a fixed fusion configuration.
-
-    Works entirely through Cholesky factors; no explicit inverse of the
-    posterior precision is formed.
-    """
-    Xf = fd.x_fused
-    y = data.y
-    k = Xf.shape[1]
-    p1 = k - 1
-    gram = Xf.T @ Xf
-    if p1 > 0:
-        try:
-            gap_factor = cho_factor(fd.gap_prior_cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("difference prior covariance not PD") from exc
-        log_det_prior_cov = 2.0 * np.log(np.diag(gap_factor[0])).sum()
-        # D^T H0^{-1} D, with the zero prior mean folded in below.
-        precision = gram + fd.diff_op.T @ cho_solve(gap_factor, fd.diff_op)
-        rhs_prior = fd.diff_op.T @ cho_solve(gap_factor, fd.gap_prior_mean)
-        prior_quad = float(fd.gap_prior_mean @ cho_solve(gap_factor, fd.gap_prior_mean))
-    else:
-        log_det_prior_cov = 0.0
-        precision = gram
-        rhs_prior = np.zeros(k)
-        prior_quad = 0.0
-    try:
-        L, _ = cho_factor(precision, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("posterior precision not PD") from exc
-    rhs = Xf.T @ y + rhs_prior
-    mean = cho_solve((L, True), rhs)
-    scale = 0.5 * (float(y @ y) + prior_quad - float(rhs @ mean))
-    return PosteriorFactors(
-        precision_chol=np.tril(L),
-        mean=mean,
-        scale=scale,
-        log_det_post_cov=-2.0 * np.log(np.diag(L)).sum(),
-        log_det_prior_cov=log_det_prior_cov,
-        blocks=fd.blocks,
-    )
-
-
-def log_marginal_likelihood(
-    data: Dataset, delta: FusionIndicator | np.ndarray, hyper: HyperParams
-) -> float:
-    """Log evidence of the response given a fusion configuration.
-
-    Returns -inf for inadmissible configurations (singular merged
-    design) and for a degenerate zero response.
-    """
-    if not isinstance(delta, FusionIndicator):
-        delta = FusionIndicator(np.asarray(delta))
-    try:
-        fd = build_fused_design(data, delta, hyper)
-        factors = posterior_factors(data, fd)
-    except (SingularDesign, SingularSystem):
-        return -np.inf
-    if factors.scale <= 0.0:
-        return -np.inf
-    n = data.n
-    return (
-        -0.5 * (n - 1) * LOG_2PI
-        + 0.5 * (factors.log_det_post_cov - factors.log_det_prior_cov)
-        + gammaln(0.5 * n)
-        - 0.5 * n * math.log(factors.scale)
-    )
 
 
 #: A merged column whose residual norm, after projection on the other
@@ -489,6 +398,23 @@ class FusionKernel(AnchoredKernel):
         self._ginv = ginv
         return True
 
+
+def log_marginal_likelihood(
+    data: Dataset, delta: FusionIndicator | np.ndarray, hyper: HyperParams
+) -> float:
+    """Log evidence of the response given a fusion configuration.
+
+    A one-shot call into :class:`FusionKernel`, so it follows the rule the
+    sampler runs: -inf for a configuration whose merged design fails the
+    :data:`RANK_TOL` cut, and for a degenerate zero response.
+    """
+    if not isinstance(delta, FusionIndicator):
+        delta = FusionIndicator(np.asarray(delta))
+    if delta.p != data.p:
+        raise ValueError(f"delta has length {delta.p - 1}, expected {data.p - 1}")
+    return FusionKernel(data, hyper).log_marginal(delta.delta)
+
+
 # ---------------------------------------------------------------------------
 # Conditional draws
 # ---------------------------------------------------------------------------
@@ -546,20 +472,20 @@ def sample_sigma2(rng: np.random.Generator, n: int, scale: float) -> float:
 
 def sample_beta(
     rng: np.random.Generator,
-    factors: PosteriorFactors,
+    blocks,
+    precision_chol: np.ndarray,
+    mean: np.ndarray,
     sigma2: float,
-    blocks=None,
 ) -> np.ndarray:
     """Draw the block coefficients and expand to the full length-p vector.
 
-    Expansion copies each block value to every index of its block, so
-    fused coefficients are bit-identical within a draw.
+    The pieces are those :meth:`FusionKernel.posterior` returns; only the
+    lower triangle of ``precision_chol`` is read. Expansion copies each
+    block value to every index of its block, so fused coefficients are
+    bit-identical within a draw.
     """
-    if blocks is None:
-        blocks = factors.blocks
-    L = factors.precision_chol
-    z = rng.standard_normal(L.shape[0])
-    draw = factors.mean + math.sqrt(sigma2) * solve_triangular(L, z, lower=True, trans="T")
+    z = rng.standard_normal(precision_chol.shape[0])
+    draw = mean + math.sqrt(sigma2) * solve_triangular(precision_chol, z, lower=True, trans="T")
     return np.repeat(draw, block_sizes(blocks))
 
 
@@ -607,15 +533,7 @@ def _sweep(
     blocks, L, mean, scale = kernel.posterior(delta)
     sigma2 = sample_sigma2(rng, kernel.n, scale)
     omega = sample_omega(rng, int(delta.sum()), kernel.p, hyper)
-    factors = PosteriorFactors(
-        precision_chol=L,
-        mean=mean,
-        scale=scale,
-        log_det_post_cov=0.0,
-        log_det_prior_cov=0.0,
-        blocks=blocks,
-    )
-    beta = sample_beta(rng, factors, sigma2)
+    beta = sample_beta(rng, blocks, L, mean, sigma2)
     return GibbsState(delta=delta, omega=omega, sigma2=sigma2, beta=beta)
 
 

@@ -30,6 +30,17 @@ def sparse_instance(seed: int = 3, n: int = 60, p: int = 15) -> Dataset:
     return Dataset(y=y - y.mean(), X=X)
 
 
+def write_regression_csv(path, seed=0, n=40, p=4):
+    """CSV table x0, ..., y whose coefficients form two fused pairs."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    beta = np.array([1.0, 1.0, -2.0, -2.0])[:p]
+    y = X @ beta + 0.3 * rng.standard_normal(n)
+    header = ",".join([f"x{j}" for j in range(p)] + ["y"])
+    rows = [",".join(map(str, list(X[i]) + [y[i]])) for i in range(n)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+
+
 @pytest.fixture
 def toy_data():
     rng = np.random.default_rng(7)

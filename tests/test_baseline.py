@@ -33,10 +33,9 @@ def all_xis(p):
 class TestSlabValidation:
     @pytest.mark.parametrize("cls", [ISlab, GSlab, FSlab])
     def test_rejects_nonpositive(self, cls):
-        with pytest.raises(ValueError):
-            cls(0.0)
-        with pytest.raises(ValueError):
-            cls(-1.0)
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                cls(bad)
 
 
 class TestSelectionMarginal:

@@ -6,15 +6,7 @@ import pytest
 from bayesfuse.cli import main
 from bayesfuse.io import read_chain, read_summary
 
-
-def write_regression_csv(path, seed=0, n=40, p=4):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, p))
-    beta = np.array([1.0, 1.0, -2.0, -2.0])[:p]
-    y = X @ beta + 0.3 * rng.standard_normal(n)
-    header = ",".join([f"x{j}" for j in range(p)] + ["y"])
-    rows = [",".join(map(str, list(X[i]) + [y[i]])) for i in range(n)]
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+from conftest import write_regression_csv
 
 
 FAST = ["--iters", "200", "--burnin", "50"]
@@ -249,3 +241,54 @@ class TestIgnoredFlagsRejected:
             ["simulate", "--case", "1", "--n", "50", "--chain", str(tmp_path / "c.csv")] + FAST,
             "--chain", capsys)
         assert not (tmp_path / "c.csv").exists()
+
+
+def expect_input_error(argv, capsys):
+    """Exit 2 before sampling, with exactly one ``error:`` line on stderr."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+class TestBadNumbersRejected:
+    """Out-of-range and non-finite numeric flags are input errors."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "nan"],
+        ["--g", "inf"],
+        ["--threads", "0"],
+        ["--threads", "-3"],
+    ])
+    def test_simulate(self, flags, capsys):
+        expect_input_error(["simulate", "--case", "1", "--n", "50"] + flags + FAST, capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "2"],
+        ["--g", "inf"],
+        ["--a-omega", "inf"],
+    ])
+    def test_fit(self, flags, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        write_regression_csv(f)
+        expect_input_error(["fit", str(f), "--response", "y"] + flags + FAST, capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "0"],
+        ["--g", "inf"],
+    ])
+    def test_smooth(self, flags, tmp_path, capsys):
+        f = tmp_path / "sig.csv"
+        f.write_text("y\n1.0\n2.0\n4.0\n")
+        expect_input_error(["smooth", str(f)] + flags + FAST, capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--a-omega", "inf"],
+        ["--slab", "islab:nan"],
+        ["--slab", "islab:inf"],
+        ["--slab", "gslab:inf"],
+        ["--slab", "fslab:inf"],
+    ])
+    def test_select(self, flags, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        write_regression_csv(f)
+        expect_input_error(["select", str(f), "--response", "y"] + flags + FAST, capsys)

@@ -3,18 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesfuse import (
-    Dataset,
-    FusionIndicator,
-    HyperParams,
-    SingularDesign,
-    build_fused_design,
-    difference_covariance,
-    difference_matrix,
-)
-from bayesfuse.fusion_prior import merge_columns
-
-from conftest import random_instance
+from bayesfuse import difference_covariance, difference_matrix
 
 
 class TestDifferenceMatrix:
@@ -57,61 +46,3 @@ class TestDifferenceCovariance:
         D = difference_matrix(k)
         ref = D @ Z @ D.T
         assert np.max(np.abs(difference_covariance(Z) - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
-
-
-class TestMergeColumns:
-    def test_sums_blocks(self):
-        X = np.arange(12.0).reshape(3, 4)
-        merged = merge_columns(X, [(0, 2), (2, 4)])
-        expected = np.column_stack([X[:, :2].sum(axis=1), X[:, 2:].sum(axis=1)])
-        assert np.array_equal(merged, expected)
-
-    def test_identity_partition(self):
-        X = np.random.default_rng(0).standard_normal((5, 3))
-        assert np.array_equal(merge_columns(X, [(0, 1), (1, 2), (2, 3)]), X)
-
-
-class TestBuildFusedDesign:
-    def test_shapes(self, toy_data):
-        delta = FusionIndicator(np.array([1, 0, 1, 0], dtype=np.uint8))
-        fd = build_fused_design(toy_data, delta, HyperParams(g=40.0))
-        assert fd.x_fused.shape == (toy_data.n, 3)
-        assert fd.diff_op.shape == (2, 3)
-        assert fd.coef_prior_cov.shape == (3, 3)
-        assert fd.gap_prior_cov.shape == (2, 2)
-        assert fd.gap_prior_mean.shape == (2,)
-        assert fd.blocks == ((0, 1), (1, 3), (3, 5))
-
-    def test_prior_is_g_times_inverse_gram(self, toy_data):
-        delta = FusionIndicator(np.ones(4, dtype=np.uint8))
-        g = 17.0
-        fd = build_fused_design(toy_data, delta, HyperParams(g=g))
-        gram = fd.x_fused.T @ fd.x_fused
-        assert np.allclose(fd.coef_prior_cov @ gram, g * np.eye(5), atol=1e-8)
-
-    def test_gap_cov_positive_definite(self, toy_data):
-        delta = FusionIndicator(np.array([1, 1, 0, 1], dtype=np.uint8))
-        fd = build_fused_design(toy_data, delta, HyperParams(g=40.0))
-        assert np.all(np.linalg.eigvalsh(fd.gap_prior_cov) > 0)
-
-    def test_singular_design_raises(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((10, 3))
-        X[:, 2] = X[:, 0]  # duplicate column -> singular unfused gram
-        data = Dataset(y=rng.standard_normal(10), X=X)
-        with pytest.raises(SingularDesign):
-            build_fused_design(data, FusionIndicator(np.ones(2, dtype=np.uint8)), HyperParams(g=10.0))
-
-    def test_length_mismatch(self, toy_data):
-        with pytest.raises(ValueError):
-            build_fused_design(toy_data, FusionIndicator(np.ones(3, dtype=np.uint8)), HyperParams(g=1.0))
-
-
-def test_fully_fused_design_is_row_sums():
-    rng = np.random.default_rng(11)
-    y, X = random_instance(rng, 15, 4)
-    data = Dataset(y=y, X=X)
-    fd = build_fused_design(data, FusionIndicator(np.zeros(3, dtype=np.uint8)), HyperParams(g=15.0))
-    assert fd.x_fused.shape == (15, 1)
-    assert np.allclose(fd.x_fused[:, 0], X.sum(axis=1))
-    assert fd.gap_prior_cov.shape == (0, 0)

@@ -27,6 +27,10 @@ class TestHyperParams:
         {"g": -1.0},
         {"g": 1.0, "a_omega": 0.0},
         {"g": 1.0, "b_omega": -2.0},
+        {"g": float("inf")},
+        {"g": float("nan")},
+        {"g": 1.0, "a_omega": float("inf")},
+        {"g": 1.0, "b_omega": float("nan")},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):

@@ -5,15 +5,13 @@ import pytest
 
 from bayesfuse import (
     Dataset,
-    FusionIndicator,
     FusionKernel,
     HyperParams,
     SamplerConfig,
-    build_fused_design,
     delta_conditional_prob,
     gibbs_sweep,
     log_marginal_likelihood,
-    posterior_factors,
+    partition_from_delta,
     run_chain,
     sample_beta,
     sample_omega,
@@ -41,8 +39,6 @@ class TestSamplerConfig:
         {"total_iterations": 0},
         {"total_iterations": 10, "burn_in": 10},
         {"total_iterations": 10, "burn_in": -1},
-        {"partition_threshold": 0.0},
-        {"partition_threshold": 1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -64,20 +60,6 @@ class TestLogMarginal:
                 want = oracles.dense_fusion_log_marginal(y, X, delta, g)
                 assert got == pytest.approx(want, abs=1e-9)
 
-    def test_fast_kernel_matches_reference(self):
-        rng = np.random.default_rng(43)
-        for trial in range(10):
-            n = int(rng.integers(10, 40))
-            p = int(rng.integers(3, 7))
-            y, X = random_instance(rng, n, p)
-            data = Dataset(y=y, X=X)
-            hyper = HyperParams(g=float(n))
-            kernel = FusionKernel(data, hyper)
-            for delta in all_deltas(p - 1):
-                fast = kernel.log_marginal(delta)
-                ref = log_marginal_likelihood(data, delta, hyper)
-                assert fast == pytest.approx(ref, abs=1e-9)
-
     def test_singular_configuration_is_minus_inf(self):
         rng = np.random.default_rng(44)
         X = rng.standard_normal((12, 3))
@@ -97,39 +79,24 @@ class TestLogMarginal:
             got = log_marginal_likelihood(scaled, delta, hyper)
             assert got - base == pytest.approx(-toy_data.n * math.log(c), abs=1e-8)
 
+    def test_length_mismatch(self, toy_data):
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(toy_data, np.ones(3, dtype=np.uint8), HyperParams(g=1.0))
+
 
 class TestPosteriorFactors:
     def test_matches_dense_pieces(self, toy_data):
+        """FusionKernel.posterior against the dense oracle, every configuration."""
         g = float(toy_data.n)
-        delta = FusionIndicator(np.array([1, 0, 1, 1], dtype=np.uint8))
-        fd = build_fused_design(toy_data, delta, HyperParams(g=g))
-        factors = posterior_factors(toy_data, fd)
-        _, _, H0, H, h, s_c = oracles.fusion_pieces(toy_data.y, toy_data.X, delta.delta, g)
-        L = factors.precision_chol
-        assert np.allclose(np.linalg.inv(L @ L.T), H, atol=1e-10)
-        assert np.allclose(factors.mean, h, atol=1e-10)
-        assert factors.scale == pytest.approx(s_c, abs=1e-10)
-        _, logdet_H = np.linalg.slogdet(H)
-        _, logdet_H0 = np.linalg.slogdet(H0)
-        assert factors.log_det_post_cov == pytest.approx(logdet_H, abs=1e-10)
-        assert factors.log_det_prior_cov == pytest.approx(logdet_H0, abs=1e-10)
-
-    def test_kernel_posterior_matches_factors(self, toy_data):
-        """Rank-one fast route and general Cholesky route agree."""
-        hyper = HyperParams(g=float(toy_data.n))
-        kernel = FusionKernel(toy_data, hyper)
+        kernel = FusionKernel(toy_data, HyperParams(g=g))
         for delta in all_deltas(toy_data.p - 1):
-            try:
-                fd = build_fused_design(toy_data, FusionIndicator(delta), hyper)
-            except Exception:
-                continue
-            ref = posterior_factors(toy_data, fd)
             blocks, L, mean, scale = kernel.posterior(delta)
-            assert blocks == ref.blocks
-            assert np.allclose(mean, ref.mean, atol=1e-9)
-            assert scale == pytest.approx(ref.scale, abs=1e-9)
+            _, _, _, H, h, s_c = oracles.fusion_pieces(toy_data.y, toy_data.X, delta, g)
+            assert blocks == partition_from_delta(delta)
             L = np.tril(L)  # cho_factor leaves garbage above the diagonal
-            assert np.allclose(L @ L.T, ref.precision_chol @ ref.precision_chol.T, atol=1e-8)
+            assert np.allclose(np.linalg.inv(L @ L.T), H, atol=1e-10)
+            assert np.allclose(mean, h, atol=1e-10)
+            assert scale == pytest.approx(s_c, abs=1e-10)
 
 
 class TestBernoulliProb:
@@ -190,10 +157,9 @@ class TestConditionalDraws:
 
     def test_beta_is_block_constant(self, toy_data):
         hyper = HyperParams(g=float(toy_data.n))
-        delta = FusionIndicator(np.array([0, 1, 0, 0], dtype=np.uint8))
-        fd = build_fused_design(toy_data, delta, hyper)
-        factors = posterior_factors(toy_data, fd)
-        beta = sample_beta(np.random.default_rng(3), factors, 1.3)
+        blocks, L, mean, _ = FusionKernel(toy_data, hyper).posterior(
+            np.array([0, 1, 0, 0], dtype=np.uint8))
+        beta = sample_beta(np.random.default_rng(3), blocks, L, mean, 1.3)
         assert beta.shape == (5,)
         assert beta[0] == beta[1]
         assert beta[2] == beta[3] == beta[4]
@@ -201,13 +167,12 @@ class TestConditionalDraws:
 
     def test_beta_mean_and_spread(self, toy_data):
         hyper = HyperParams(g=float(toy_data.n))
-        delta = FusionIndicator(np.ones(4, dtype=np.uint8))
-        fd = build_fused_design(toy_data, delta, hyper)
-        factors = posterior_factors(toy_data, fd)
+        blocks, L, mean, _ = FusionKernel(toy_data, hyper).posterior(np.ones(4, dtype=np.uint8))
         rng = np.random.default_rng(4)
-        draws = np.array([sample_beta(rng, factors, 1.0) for _ in range(20_000)])
-        assert np.allclose(draws.mean(axis=0), factors.mean, atol=0.05)
-        cov = np.linalg.inv(factors.precision_chol @ factors.precision_chol.T)
+        draws = np.array([sample_beta(rng, blocks, L, mean, 1.0) for _ in range(20_000)])
+        assert np.allclose(draws.mean(axis=0), mean, atol=0.05)
+        L = np.tril(L)
+        cov = np.linalg.inv(L @ L.T)
         assert np.allclose(np.cov(draws.T), cov, atol=0.05)
 
 
@@ -269,7 +234,6 @@ class TestChain:
         assert s.delta_prob.shape == (4,)
         assert np.all((0.0 <= s.delta_prob) & (s.delta_prob <= 1.0))
         # partition is consistent with thresholded probabilities
-        from bayesfuse import partition_from_delta
         assert s.partition_est == partition_from_delta((s.delta_prob > 0.5).astype(np.uint8))
 
     def test_summarize_empty_chain(self, toy_data):
