@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesfuse import difference_covariance, difference_matrix
+from bayesfuse import Dataset, FusionKernel, HyperParams, difference_covariance, difference_matrix
+from bayesfuse.model import SingularSystem
 
 
 class TestDifferenceMatrix:
@@ -46,3 +47,18 @@ class TestDifferenceCovariance:
         D = difference_matrix(k)
         ref = D @ Z @ D.T
         assert np.max(np.abs(difference_covariance(Z) - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+class TestBuildFusedDesign:
+    """The fused design FusionKernel builds for one configuration."""
+
+    def test_singular_design_raises(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((10, 3))
+        X[:, 2] = X[:, 0]  # duplicate column -> singular unfused gram
+        data = Dataset(y=rng.standard_normal(10), X=X)
+        delta = np.ones(2, dtype=np.uint8)
+        kernel = FusionKernel(data, HyperParams(g=10.0))
+        assert kernel.log_marginal(delta) == -np.inf
+        with pytest.raises(SingularSystem):
+            kernel.posterior(delta)

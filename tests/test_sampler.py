@@ -98,6 +98,36 @@ class TestPosteriorFactors:
             assert np.allclose(mean, h, atol=1e-10)
             assert scale == pytest.approx(s_c, abs=1e-10)
 
+    def test_kernel_posterior_matches_factors(self, toy_data):
+        """The posterior route (merged gram plus rank-one correction, one
+        Cholesky) and the evidence route (prefix tables, full and one flip
+        from an anchor) agree on every configuration."""
+        hyper = HyperParams(g=float(toy_data.n))
+        n, g = toy_data.n, hyper.g
+        row_sums = toy_data.X.sum(axis=1)
+        total_gram = float(row_sums @ row_sums)
+        const = (
+            math.lgamma(0.5 * n)
+            - 0.5 * (n - 1) * math.log(2.0 * math.pi)
+            - 0.5 * math.log(total_gram)
+        )
+        for delta in all_deltas(toy_data.p - 1):
+            blocks, L, mean, scale = FusionKernel(toy_data, hyper).posterior(delta)
+            X_f = np.column_stack([toy_data.X[:, a:b].sum(axis=1) for a, b in blocks])
+            G = X_f.T @ X_f
+            v = G.sum(axis=1)
+            precision = ((g + 1.0) / g) * G - np.outer(v, v) / (g * total_gram)
+            L = np.tril(L)  # cho_factor leaves garbage above the diagonal
+            assert np.allclose(L @ L.T, precision, atol=1e-8)
+            assert np.allclose(precision @ mean, X_f.T @ toy_data.y, atol=1e-8)
+            want = const - 0.5 * int(delta.sum()) * math.log(g + 1.0) - 0.5 * n * math.log(scale)
+            assert FusionKernel(toy_data, hyper).log_marginal(delta) == pytest.approx(want, abs=1e-9)
+            anchored = FusionKernel(toy_data, hyper)
+            neighbour = delta.copy()
+            neighbour[0] ^= 1
+            anchored.begin_sweep(neighbour)
+            assert anchored.log_marginal(delta) == pytest.approx(want, abs=1e-9)
+
 
 class TestBernoulliProb:
     def test_equal_evidence_is_omega(self):
